@@ -7,9 +7,8 @@
 pub mod alloc_count;
 pub mod timer;
 
-use specslice::encode::MAIN_CONTROL;
+use specslice::slicer::saturated_tail;
 use specslice::{criteria, Criterion, PipelineStats, Slicer, SpecSlice};
-use specslice_fsa::mrd::mrd_with_stats;
 use specslice_pds::prestar::prestar_with_stats;
 use specslice_sdg::VertexId;
 use std::time::{Duration, Instant};
@@ -80,9 +79,7 @@ pub fn slice_program(name: &'static str, slicer: &Slicer) -> Vec<SliceRecord> {
         let query = criteria::query_automaton(sdg, enc, &criterion).expect("criterion");
         let ta = Instant::now();
         let (a1, _) = prestar_with_stats(&enc.pds, &query).expect("well-formed query");
-        let a1_nfa = a1.to_nfa(MAIN_CONTROL);
-        let (a1_trim, _) = a1_nfa.trimmed();
-        let (a6, _) = mrd_with_stats(&a1_trim);
+        let tail = saturated_tail(&a1);
         let automata_time = ta.elapsed();
 
         let closure = specslice_sdg::slice::backward_closure_slice(sdg, &cv);
@@ -122,7 +119,7 @@ pub fn slice_program(name: &'static str, slicer: &Slicer) -> Vec<SliceRecord> {
             mono_time,
             poly_time,
             automata_time,
-            automata_bytes: stats.prestar_peak_bytes + a6.transition_count() * 24,
+            automata_bytes: stats.prestar_peak_bytes + tail.a6.transition_count() * 24,
             sdg_bytes: sdg.approx_bytes(),
             det_states: stats.mrd.determinized_states,
             min_states: stats.mrd.minimized_states,

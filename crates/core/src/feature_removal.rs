@@ -19,8 +19,9 @@ use crate::encode::{self, MAIN_CONTROL};
 use crate::readout::{self, SpecSlice};
 use crate::store::VariantStore;
 use crate::SpecError;
+use specslice_fsa::mrd::mrd_of_trimmed;
 use specslice_fsa::ops::difference;
-use specslice_fsa::{mrd, Dfa};
+use specslice_fsa::Dfa;
 use specslice_pds::poststar::poststar_indexed_with_stats;
 use specslice_pds::SaturationScratch;
 use specslice_sdg::Sdg;
@@ -69,9 +70,8 @@ pub fn remove_feature_reusing(
     let a0_nfa = a0.to_nfa(MAIN_CONTROL);
     // A1 = Reachable ∖ A0.
     let a1 = difference(reachable, &Dfa::determinize(&a0_nfa));
-    let (a1, _) = a1.trimmed();
-    // Continue at line 4 of Alg. 1.
-    let a6 = mrd(&a1);
+    // Continue at line 4 of Alg. 1, on A1 trimmed.
+    let (a6, _) = mrd_of_trimmed(&a1);
     readout::read_out_in(
         sdg,
         enc,

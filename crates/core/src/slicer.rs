@@ -31,13 +31,14 @@ use crate::reslice::{self, ResliceReport};
 use crate::store::{StoreStats, VariantId, VariantStore};
 use crate::{feature_removal, PipelineStats, SpecError};
 use specslice_exec::{Pool, WorkerStats};
-use specslice_fsa::mrd::mrd_with_stats;
-use specslice_fsa::{Nfa, StateId};
+use specslice_fsa::mrd::{mrd_of_trimmed, mrd_transposed, MrdStats};
+use specslice_fsa::transposed::ALL_MEMBERS;
+use specslice_fsa::{Nfa, TransposedView};
 use specslice_graphs::{DiGraph, NodeId, Sccs};
 use specslice_lang::Program;
 use specslice_pds::{
     saturate_indexed_with_stats, saturate_multi_indexed_with_stats, CriterionSet, Direction,
-    PAutomaton, PState, SaturationScratch,
+    PAutomaton, SaturationScratch,
 };
 use specslice_sdg::build::build_sdg;
 use specslice_sdg::{CallSiteId, CalleeKind, Sdg, VertexId};
@@ -782,6 +783,15 @@ impl Slicer {
         Ok(self.adopt(answer))
     }
 
+    /// How [`Solver::OnePass`] partitions `criteria` into shared
+    /// saturations: each inner list holds the input indices of one group,
+    /// in the order the group's members occupy its criterion mask (a group
+    /// of one runs the solo pipeline). Memo hits peel off a group at answer
+    /// time; the plan itself ignores the memo.
+    pub fn batch_groups(&self, criteria: &[Criterion]) -> Vec<Vec<usize>> {
+        plan_groups(&self.sdg, self.proc_regions(), criteria)
+    }
+
     /// The call-graph region of every procedure: its component in the SCC
     /// condensation of the call graph (computed via `specslice_graphs`,
     /// indirect calls contributing their dispatcher's out-edges like any
@@ -973,48 +983,23 @@ impl Slicer {
                 return out;
             }
         };
-        // Split the union automaton into the member `A1`s in ONE pass over
-        // its transitions — one mask lookup each, scattered to every member
-        // in the mask — instead of a full masked sweep per member (which is
-        // quadratic in the group width). The saturated automaton is
-        // consumed in P-state form directly (state `s` → NFA state `s + 1`,
-        // MAIN_CONTROL's row duplicated onto the fresh initial 0 — exactly
-        // `PAutomaton::to_nfa`'s mapping), so no union NFA is materialized.
-        // Forward (`post*`) output carries ε-transitions out of the pop
-        // rules' intermediate controls; they are split to members like any
-        // labeled transition (the masks key ε too) and consumed by the
-        // ε-capable MRD pipeline downstream.
-        let n_union_states = multi.automaton.state_count();
-        let pmain = multi.automaton.control_state(MAIN_CONTROL);
-        let mut member_a1: Vec<Nfa> = (0..group_width)
-            .map(|_| {
-                let mut a1 = Nfa::new();
-                for _ in 0..n_union_states {
-                    a1.add_state();
-                }
-                a1
-            })
-            .collect();
-        for (from, l, to) in multi.automaton.transitions() {
-            for slot in multi.mask_label(from, l, to).members() {
-                let a1 = &mut member_a1[slot];
-                a1.add_transition(StateId(from.0 + 1), l, StateId(to.0 + 1));
-                if from == pmain {
-                    a1.add_transition(a1.initial(), l, StateId(to.0 + 1));
-                }
-            }
-        }
+        // Each member's `A1` is a view of the saturated union, never a copy:
+        // one masked CSR per group, in `PAutomaton::to_nfa`'s presentation
+        // (state `s` → NFA state `s + 1`, MAIN_CONTROL's row duplicated onto
+        // the initial state 0), and per member a reach ∧ co-reach pass over
+        // the edges carrying its bit — exactly the states and edges
+        // `Nfa::trimmed` keeps of its solo `A1`. Forward (`post*`) output
+        // carries ε-transitions out of the pop rules' intermediate controls;
+        // they are masked like any labeled transition and closed in place by
+        // the MRD subset construction.
+        let csr = multi.transposed(MAIN_CONTROL);
         for (slot, (i, key, _, _)) in pending.iter().enumerate() {
             let member_start = Instant::now();
-            let mut a1_nfa = std::mem::take(&mut member_a1[slot]);
-            for &f in &multi.member_finals[slot] {
-                a1_nfa.set_final(multi.automaton.nfa_state_of(f));
-            }
-            if multi.member_finals[slot].contains(&PState(MAIN_CONTROL.0)) {
-                a1_nfa.set_final(a1_nfa.initial());
-            }
-            let (a1_trim, _) = a1_nfa.trimmed();
-            let (a6, mrd_stats) = mrd_with_stats(&a1_trim);
+            let Tail {
+                a6,
+                mrd,
+                a1_transitions,
+            } = mrd_tail(&multi.member_view(&csr, MAIN_CONTROL, slot));
             let result = readout::read_out_in(
                 &self.sdg,
                 &self.enc,
@@ -1039,9 +1024,9 @@ impl Slicer {
                         0
                     },
                     prestar_peak_worklist: if first { multi.stats.peak_worklist } else { 0 },
-                    a1_states: a1_trim.state_count(),
-                    a1_transitions: a1_trim.transition_count(),
-                    mrd: mrd_stats,
+                    a1_states: mrd.input_states,
+                    a1_transitions,
+                    mrd,
                     saturations_run: if first { 1 } else { 0 },
                     criteria_per_saturation: if first { group_width } else { 0 },
                     query_time: if first {
@@ -1304,8 +1289,7 @@ impl Slicer {
         let (fwd, fwd_stats) = self.forward_slice_with_stats(source)?;
         let (bwd, bwd_stats) = self.slice_with_stats(target)?;
         let inter = specslice_fsa::ops::intersect(&fwd.a6, &bwd.a6);
-        let (inter_trim, _) = inter.trimmed();
-        let (a6, mrd_stats) = mrd_with_stats(&inter_trim);
+        let (a6, mrd_stats) = mrd_of_trimmed(&inter);
         let mut scratch = self.take_scratch();
         let slice = readout::read_out_in(
             &self.sdg,
@@ -1486,10 +1470,42 @@ fn set_memo_counters(stats: &mut PipelineStats, dir: Direction, hit: bool) {
     }
 }
 
+/// What Alg. 1's `A1 → A6` step yields for one criterion.
+#[derive(Clone, Debug)]
+pub struct Tail {
+    /// The MRD automaton `A6`.
+    pub a6: Nfa,
+    /// Its size statistics; `input_states` counts the trimmed `A1`.
+    pub mrd: MrdStats,
+    /// Transitions of the trimmed `A1` (ε included).
+    pub a1_transitions: usize,
+}
+
+/// Alg. 1's `A1 → A6` step over a trimmed view of a saturated automaton
+/// (one group member's, or a solo run's): the MRD pipeline reads the view
+/// directly, so no per-criterion `A1` is ever materialized.
+pub fn mrd_tail(a1: &TransposedView<'_>) -> Tail {
+    let (a6, mrd) = mrd_transposed(a1);
+    Tail {
+        a6,
+        mrd,
+        a1_transitions: a1.transition_count(),
+    }
+}
+
+/// [`mrd_tail`] of one solo saturation: the language `a1` accepts from the
+/// main control, trimmed, to `A6`. Same result as
+/// `mrd_with_stats(&a1.to_nfa(MAIN_CONTROL).trimmed().0)`, without building
+/// either automaton.
+pub fn saturated_tail(a1: &PAutomaton) -> Tail {
+    let csr = a1.transposed(MAIN_CONTROL);
+    mrd_tail(&csr.trimmed(ALL_MEMBERS, a1.nfa_finals(MAIN_CONTROL, a1.finals())))
+}
+
 /// The criterion-dependent tail of Alg. 1: saturation (`Prestar` backward,
-/// `Poststar` forward) → trim → MRD → read-out. Shared by the session
-/// methods and the one-shot [`crate::specialize`]. The slice's content is
-/// interned into `store`.
+/// `Poststar` forward) → MRD over the trimmed `A1` view → read-out. Shared
+/// by the session methods and the one-shot [`crate::specialize`]. The
+/// slice's content is interned into `store`.
 pub(crate) fn run_query(
     dir: Direction,
     sdg: &Sdg,
@@ -1525,9 +1541,11 @@ pub(crate) fn run_query_in(
 ) -> Result<(SpecSlice, PipelineStats), SpecError> {
     let (a1, satstats) = saturate_indexed_with_stats(dir, &enc.index, query, &mut scratch.sat)
         .map_err(|e| SpecError::pds(dir_stage(dir), e))?;
-    let a1_nfa = a1.to_nfa(MAIN_CONTROL);
-    let (a1_trim, _) = a1_nfa.trimmed();
-    let (a6, mrd_stats) = mrd_with_stats(&a1_trim);
+    let Tail {
+        a6,
+        mrd,
+        a1_transitions,
+    } = saturated_tail(&a1);
     let slice = readout::read_out_in(
         sdg,
         enc,
@@ -1543,9 +1561,9 @@ pub(crate) fn run_query_in(
         prestar_peak_bytes: satstats.peak_bytes,
         prestar_rule_applications: satstats.rule_applications,
         prestar_peak_worklist: satstats.peak_worklist,
-        a1_states: a1_trim.state_count(),
-        a1_transitions: a1_trim.transition_count(),
-        mrd: mrd_stats,
+        a1_states: mrd.input_states,
+        a1_transitions,
+        mrd,
         saturations_run: 1,
         criteria_per_saturation: 1,
         ..PipelineStats::default()

@@ -12,7 +12,9 @@
 //!   [`ops::equivalent`], emptiness;
 //! * the [`mod@mrd`] pipeline: *minimal reverse-deterministic* automaton
 //!   construction (`reverse ∘ minimize ∘ determinize ∘ reverse` plus
-//!   ε-removal), which is the heart of the specialization-slicing algorithm.
+//!   ε-removal), which is the heart of the specialization-slicing algorithm;
+//! * [`Transposed`]: an automaton in masked CSR form, whose member views
+//!   (trimmed without copying) feed the MRD pipeline directly.
 //!
 //! # Example
 //!
@@ -41,11 +43,13 @@ pub mod hopcroft;
 pub mod mrd;
 pub mod nfa;
 pub mod ops;
+pub mod transposed;
 
 pub use dfa::Dfa;
 pub use hash::{FxHashMap, FxHashSet};
-pub use mrd::{canonicalize_mrd, is_reverse_deterministic, mrd};
+pub use mrd::{canonicalize_mrd, is_reverse_deterministic, mrd, mrd_transposed};
 pub use nfa::{Nfa, StateId};
+pub use transposed::{Transposed, TransposedView};
 
 use std::fmt;
 

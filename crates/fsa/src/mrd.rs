@@ -7,6 +7,7 @@ use crate::hash::FxHashMap;
 use crate::hopcroft::minimize;
 use crate::nfa::{Nfa, StateId};
 use crate::ops::{remove_epsilon, reverse};
+use crate::transposed::{Transposed, TransposedView, ALL_MEMBERS};
 use crate::Symbol;
 use std::collections::VecDeque;
 
@@ -26,6 +27,15 @@ use std::collections::VecDeque;
 /// count, which the evaluation section compares against the minimized size
 /// (§4.2's "determinize output shrinks by 4.4–34%" observation).
 pub fn mrd_with_stats(a1: &Nfa) -> (Nfa, MrdStats) {
+    let csr = Transposed::of(a1);
+    mrd_transposed(&csr.full(a1.finals().iter().copied()))
+}
+
+/// [`mrd_with_stats`] over the automaton a [`TransposedView`] presents —
+/// the entry point of the one-pass solver, whose group members are
+/// filtered views of one shared automaton, never copied out. `A1` is the
+/// view: `input_states` is the view's state count.
+pub fn mrd_transposed(a1: &TransposedView<'_>) -> (Nfa, MrdStats) {
     // `determinize(reverse(a1))`, fused — the reversed NFA is never
     // materialized. ε-transitions in `a1` (always present in forward/post*
     // pipelines, possible for library callers) are closed in place during
@@ -64,6 +74,13 @@ pub fn mrd_with_stats(a1: &Nfa) -> (Nfa, MrdStats) {
         mrd_transitions: a6.transition_count(),
     };
     (a6, stats)
+}
+
+/// [`mrd_with_stats`] of `a.trimmed().0`, reading `a` through a trimmed
+/// view instead of building the trimmed copy.
+pub fn mrd_of_trimmed(a: &Nfa) -> (Nfa, MrdStats) {
+    let csr = Transposed::of(a);
+    mrd_transposed(&csr.trimmed(ALL_MEMBERS, a.finals().iter().copied()))
 }
 
 /// Convenience wrapper around [`mrd_with_stats`] discarding the statistics.
@@ -203,13 +220,14 @@ fn reverse_trim_canonical(dfa: &Dfa) -> Option<Nfa> {
 }
 
 /// `Dfa::determinize(&reverse(a1))` in one pass: the subset construction
-/// runs directly over `a1`'s transposed adjacency, so the reversed NFA is
-/// never materialized. The reversal's ε-transitions come from two sources,
-/// both handled in place: the ε-bridge from its fresh initial to `a1`'s
-/// finals (folded into the start subset), and `a1`'s own ε-transitions,
-/// flipped (closed over `eps_inc` exactly where `determinize` would close
-/// over the reversed NFA — so forward-oriented inputs such as `post*`
-/// results, which always carry ε, take the fused path too).
+/// runs directly over the view's transposed adjacency, so the reversed NFA
+/// is never materialized. The reversal's ε-transitions come from two
+/// sources, both handled in place: the ε-bridge from its fresh initial to
+/// `a1`'s finals (folded into the start subset), and `a1`'s own
+/// ε-transitions, flipped (closed over the view's incoming ε-edges exactly
+/// where `determinize` would close over the reversed NFA — so
+/// forward-oriented inputs such as `post*` results, which always carry ε,
+/// take the fused path too).
 ///
 /// Bit-identical to the unfused sequence: subsets correspond 1:1 (original
 /// state ids here, shifted ids there, with a sentinel standing in for the
@@ -219,48 +237,12 @@ fn reverse_trim_canonical(dfa: &Dfa) -> Option<Nfa> {
 /// add the same members (the reversal never gains an ε *into* its fresh
 /// initial, so the sentinel stays confined to the start subset), and the
 /// worklist is driven the same — so even the output's state numbering
-/// matches.
-fn determinize_reversed(a1: &Nfa) -> Dfa {
-    let n = a1.state_count();
-    // Transposed adjacency in CSR form (count pass, prefix sums, fill
-    // pass): the query pipeline runs this on thousands of small automata
-    // per batch, and per-state `Vec` rows would pay one heap allocation
-    // per state with an incoming edge — the CSR pays six, total.
-    let mut inc_off: Vec<u32> = vec![0; n + 1];
-    let mut eps_off: Vec<u32> = vec![0; n + 1];
-    for (_, l, t) in a1.transitions() {
-        match l {
-            Some(_) => inc_off[t.index() + 1] += 1,
-            None => eps_off[t.index() + 1] += 1,
-        }
-    }
-    for i in 0..n {
-        inc_off[i + 1] += inc_off[i];
-        eps_off[i + 1] += eps_off[i];
-    }
-    let mut inc: Vec<(Symbol, StateId)> =
-        vec![(Symbol(0), StateId(0)); *inc_off.last().unwrap() as usize];
-    // ε-successors *in the reversal*: reversed state q steps by ε to every
-    // a1-state with an ε-edge into q.
-    let mut eps_inc: Vec<u32> = vec![0; *eps_off.last().unwrap() as usize];
-    let mut inc_cur = inc_off.clone();
-    let mut eps_cur = eps_off.clone();
-    for (f, l, t) in a1.transitions() {
-        match l {
-            Some(s) => {
-                let at = &mut inc_cur[t.index()];
-                inc[*at as usize] = (s, f);
-                *at += 1;
-            }
-            None => {
-                let at = &mut eps_cur[t.index()];
-                eps_inc[*at as usize] = f.0;
-                *at += 1;
-            }
-        }
-    }
+/// matches. A trimmed view keeps its kept states' original ids, which
+/// `Nfa::trimmed` renumbers monotonically; the same argument makes the
+/// result equal to determinizing the trimmed automaton's reversal.
+fn determinize_reversed(a1: &TransposedView<'_>) -> Dfa {
     const SENTINEL: u32 = u32::MAX;
-    let mut mark = vec![false; n];
+    let mut mark = vec![false; a1.id_bound()];
     let mut stack: Vec<u32> = Vec::new();
     // ε-closes `set` (sorted, duplicate-free, sentinel-free) in place over
     // the reversal's ε-edges, keeping it sorted and duplicate-free; `mark`
@@ -274,11 +256,7 @@ fn determinize_reversed(a1: &Nfa) -> Dfa {
             mark[q as usize] = true;
         }
         while let Some(q) = stack.pop() {
-            let (lo, hi) = (
-                eps_off[q as usize] as usize,
-                eps_off[q as usize + 1] as usize,
-            );
-            for &t in &eps_inc[lo..hi] {
+            for t in a1.eps_incoming(q) {
                 if !mark[t as usize] {
                     mark[t as usize] = true;
                     set.push(t);
@@ -292,7 +270,7 @@ fn determinize_reversed(a1: &Nfa) -> Dfa {
         }
     };
     let mut dfa = Dfa::new();
-    let initial = a1.initial().0;
+    let initial = 0u32;
     // Start subset = ε-closure of the reversal's fresh initial: the finals
     // (via the ε-bridge), their closure over flipped ε-edges, and the fresh
     // initial itself. Subsets are sorted dense id vectors; `close` sorts
@@ -303,7 +281,7 @@ fn determinize_reversed(a1: &Nfa) -> Dfa {
     // distinct subset exactly once, at its final size. A reused `targets`
     // buffer stands in for the per-symbol-group temporary, so the subset
     // construction's steady state allocates only on genuinely new subsets.
-    let mut targets: Vec<u32> = a1.finals().iter().map(|q| q.0).collect();
+    let mut targets: Vec<u32> = a1.final_ids().to_vec();
     close(&mut targets, &mut mark, &mut stack);
     targets.push(SENTINEL);
     let mut subset_ids: FxHashMap<Vec<u32>, StateId> = FxHashMap::default();
@@ -322,11 +300,7 @@ fn determinize_reversed(a1: &Nfa) -> Dfa {
         for at in lo..hi {
             let q = pool[at as usize];
             if q != SENTINEL {
-                let (s, e) = (
-                    inc_off[q as usize] as usize,
-                    inc_off[q as usize + 1] as usize,
-                );
-                pairs.extend_from_slice(&inc[s..e]);
+                a1.extend_incoming(q, &mut pairs);
             }
         }
         pairs.sort_unstable();
@@ -599,11 +573,7 @@ mod tests {
         assert!(equivalent(&n, &out));
     }
 
-    /// The fused subset construction must match the unfused oracle bit for
-    /// bit: same state numbering, same finals, same transition list.
-    fn assert_fused_matches_oracle(a1: &Nfa) {
-        let fused = determinize_reversed(a1);
-        let oracle = Dfa::determinize(&reverse(a1));
+    fn assert_same_dfa(fused: &Dfa, oracle: &Dfa) {
         assert_eq!(fused.state_count(), oracle.state_count(), "state count");
         assert_eq!(fused.initial(), oracle.initial(), "initial");
         assert_eq!(fused.finals(), oracle.finals(), "finals");
@@ -612,16 +582,37 @@ mod tests {
         assert_eq!(tf, to, "transitions");
     }
 
-    #[test]
-    fn fused_determinize_matches_oracle_epsilon_free() {
-        assert_fused_matches_oracle(&fig10_like());
+    /// The fused subset construction must match the unfused oracle bit for
+    /// bit: same state numbering, same finals, same transition list.
+    fn assert_fused_matches_oracle(a1: &Nfa) {
+        let csr = Transposed::of(a1);
+        let fused = determinize_reversed(&csr.full(a1.finals().iter().copied()));
+        assert_same_dfa(&fused, &Dfa::determinize(&reverse(a1)));
     }
 
-    #[test]
-    fn fused_determinize_matches_oracle_epsilon_into_final() {
-        // The `mrd_on_infinite_language` fixture: an ε-edge into the final
-        // state, plus a labeled cycle — the shape pop rules give `post*`
-        // output.
+    /// The CSR entry point over a trimmed view of `a` must equal the MRD
+    /// chain over `a.trimmed()`: the same A1 size, the same subset
+    /// construction, the same A6 and the same statistics.
+    fn assert_trimmed_view_matches(a: &Nfa) {
+        let csr = Transposed::of(a);
+        let view = csr.trimmed(ALL_MEMBERS, a.finals().iter().copied());
+        let (trim, _) = a.trimmed();
+        assert_eq!(view.state_count(), trim.state_count(), "A1 states");
+        assert_eq!(view.transition_count(), trim.transition_count(), "A1 edges");
+        assert_same_dfa(
+            &determinize_reversed(&view),
+            &Dfa::determinize(&reverse(&trim)),
+        );
+        let (m1, s1) = mrd_transposed(&view);
+        let (m2, s2) = mrd_with_stats(&trim);
+        assert_eq!(format!("{m1:?}"), format!("{m2:?}"), "A6");
+        assert_eq!(s1, s2, "stats");
+    }
+
+    /// The `mrd_on_infinite_language` fixture: an ε-edge into the final
+    /// state, plus a labeled cycle — the shape pop rules give `post*`
+    /// output.
+    fn epsilon_into_final() -> Nfa {
         let mut n = Nfa::new();
         let q1 = n.add_state();
         let q2 = n.add_state();
@@ -632,14 +623,13 @@ mod tests {
         n.add_transition(q2, None, f);
         n.add_transition(n.initial(), Some(sym(1)), f);
         n.set_final(f);
-        assert_fused_matches_oracle(&n);
+        n
     }
 
-    #[test]
-    fn fused_determinize_matches_oracle_epsilon_chains_and_cycles() {
-        // ε from the initial state, an ε-chain, an ε-cycle, and several ε
-        // edges converging on one state — every ε shape the closure must
-        // walk.
+    /// ε from the initial state, an ε-chain, an ε-cycle, and several ε
+    /// edges converging on one state — every ε shape the closure must
+    /// walk.
+    fn epsilon_chains_and_cycles() -> Nfa {
         let mut n = Nfa::new();
         let q1 = n.add_state();
         let q2 = n.add_state();
@@ -655,14 +645,13 @@ mod tests {
         n.add_transition(q4, Some(sym(4)), f);
         n.add_transition(q2, Some(sym(4)), f);
         n.set_final(f);
-        assert_fused_matches_oracle(&n);
+        n
     }
 
-    #[test]
-    fn fused_determinize_matches_oracle_multiple_finals_with_epsilon() {
-        // Two finals, one reachable from the other by ε — exercises the
-        // start-subset closure (the reversal's ε-bridge composed with a1's
-        // own flipped ε-edges).
+    /// Two finals, one reachable from the other by ε — exercises the
+    /// start-subset closure (the reversal's ε-bridge composed with a1's
+    /// own flipped ε-edges).
+    fn multiple_finals_with_epsilon() -> Nfa {
         let mut n = Nfa::new();
         let q1 = n.add_state();
         let f1 = n.add_state();
@@ -673,7 +662,144 @@ mod tests {
         n.add_transition(f2, Some(sym(2)), f1);
         n.set_final(f1);
         n.set_final(f2);
-        assert_fused_matches_oracle(&n);
+        n
+    }
+
+    #[test]
+    fn fused_determinize_matches_oracle_epsilon_free() {
+        assert_fused_matches_oracle(&fig10_like());
+    }
+
+    #[test]
+    fn fused_determinize_matches_oracle_epsilon_into_final() {
+        assert_fused_matches_oracle(&epsilon_into_final());
+    }
+
+    #[test]
+    fn fused_determinize_matches_oracle_epsilon_chains_and_cycles() {
+        assert_fused_matches_oracle(&epsilon_chains_and_cycles());
+    }
+
+    #[test]
+    fn fused_determinize_matches_oracle_multiple_finals_with_epsilon() {
+        assert_fused_matches_oracle(&multiple_finals_with_epsilon());
+    }
+
+    #[test]
+    fn trimmed_view_matches_trimmed_mrd_on_fixtures() {
+        assert_trimmed_view_matches(&fig10_like());
+        assert_trimmed_view_matches(&epsilon_into_final());
+        assert_trimmed_view_matches(&epsilon_chains_and_cycles());
+        assert_trimmed_view_matches(&multiple_finals_with_epsilon());
+    }
+
+    #[test]
+    fn trimmed_view_matches_on_empty_language() {
+        // No final at all, and a final no path reaches.
+        let mut n = fig10_like();
+        assert_trimmed_view_matches(&Nfa::new());
+        let island = n.add_state();
+        let mut unreachable_final = Nfa::new();
+        let q1 = unreachable_final.add_state();
+        unreachable_final.add_transition(unreachable_final.initial(), Some(sym(0)), q1);
+        let f = unreachable_final.add_state();
+        unreachable_final.add_transition(f, Some(sym(1)), q1);
+        unreachable_final.set_final(f);
+        assert!(unreachable_final.is_empty_language());
+        assert_trimmed_view_matches(&unreachable_final);
+        // Dead and unreachable states around a live core.
+        n.add_transition(island, Some(sym(7)), n.initial());
+        assert_trimmed_view_matches(&n);
+    }
+
+    #[test]
+    fn trimmed_view_matches_when_epsilon_is_accepted() {
+        // ε ∈ L: the initial state is final (the configuration of the
+        // main control itself is in the slice).
+        let mut n = fig10_like();
+        n.set_final(n.initial());
+        assert_trimmed_view_matches(&n);
+        let mut only_eps = Nfa::new();
+        only_eps.set_final(only_eps.initial());
+        assert_trimmed_view_matches(&only_eps);
+        let mut eps = epsilon_chains_and_cycles();
+        eps.set_final(eps.initial());
+        assert_trimmed_view_matches(&eps);
+    }
+
+    /// One member of a masked union: its edges and its finals, over
+    /// state ids shared with the other members.
+    type Member = (Vec<(u32, Option<Symbol>, u32)>, Vec<u32>);
+
+    /// `Transposed::from_edges` over a masked union of `members`; every
+    /// member's view must equal the MRD chain over its own automaton,
+    /// trimmed.
+    fn assert_members_match(n_states: u32, members: &[Member]) {
+        let mut union: Vec<(StateId, Option<Symbol>, StateId, u64)> = Vec::new();
+        for (bit, (edges, _)) in members.iter().enumerate() {
+            for &(f, l, t) in edges {
+                match union
+                    .iter_mut()
+                    .find(|e| (e.0, e.1, e.2) == (StateId(f), l, StateId(t)))
+                {
+                    Some(e) => e.3 |= 1 << bit,
+                    None => union.push((StateId(f), l, StateId(t), 1 << bit)),
+                }
+            }
+        }
+        let csr = Transposed::from_edges(n_states as usize, || union.iter().copied());
+        for (bit, (edges, finals)) in members.iter().enumerate() {
+            let mut own = Nfa::new();
+            for _ in 1..n_states {
+                own.add_state();
+            }
+            for &(f, l, t) in edges {
+                own.add_transition(StateId(f), l, StateId(t));
+            }
+            for &f in finals {
+                own.set_final(StateId(f));
+            }
+            let view = csr.trimmed(1 << bit, finals.iter().map(|&f| StateId(f)));
+            let (trim, _) = own.trimmed();
+            assert_eq!(
+                view.state_count(),
+                trim.state_count(),
+                "member {bit} states"
+            );
+            assert_eq!(
+                view.transition_count(),
+                trim.transition_count(),
+                "member {bit} edges"
+            );
+            let (m1, s1) = mrd_transposed(&view);
+            let (m2, s2) = mrd_with_stats(&trim);
+            assert_eq!(format!("{m1:?}"), format!("{m2:?}"), "member {bit} A6");
+            assert_eq!(s1, s2, "member {bit} stats");
+        }
+    }
+
+    #[test]
+    fn member_views_match_their_own_trimmed_automata() {
+        let (a, b, c) = (Some(sym(0)), Some(sym(1)), Some(sym(2)));
+        assert_members_match(
+            6,
+            &[
+                // Member 0: 0 -a-> 1 -b-> 2 (final), with an ε-cycle 1 ⇄ 3.
+                (
+                    vec![(0, a, 1), (1, b, 2), (1, None, 3), (3, None, 1)],
+                    vec![2],
+                ),
+                // Member 1: shares 0 -a-> 1, then 1 -c-> 4 (final); its
+                // edge 5 -b-> 4 leaves from an unreachable state.
+                (vec![(0, a, 1), (1, c, 4), (5, b, 4)], vec![4]),
+                // Member 2: its final 5 is unreachable under its own bit
+                // (the edges into 5 belong to nobody), so its language is
+                // empty even though other members reach past state 1.
+                (vec![(0, a, 1), (1, b, 2)], vec![5]),
+                // Member 3: ε ∈ L — the initial state is final.
+                (vec![(0, c, 4), (4, None, 0)], vec![0, 4]),
+            ],
+        );
     }
 
     #[test]

@@ -122,19 +122,33 @@ pub fn lex(src: &str) -> Result<Vec<Token>, LangError> {
                     _ => TokenKind::Ident(word.to_string()),
                 });
             }
+            _ if !c.is_ascii() => {
+                // Outside comments and strings the language is ASCII. `i`
+                // sits on a character boundary here (every other branch
+                // stops on an ASCII byte), so the character decodes whole.
+                let ch = src
+                    .get(i..)
+                    .and_then(|rest| rest.chars().next())
+                    .unwrap_or(char::REPLACEMENT_CHARACTER);
+                return Err(LangError::lex(
+                    line,
+                    format!(
+                        "unexpected non-ASCII character `{ch}` (U+{:04X})",
+                        ch as u32
+                    ),
+                ));
+            }
             _ => {
-                let two = if i + 1 < bytes.len() {
-                    &src[i..i + 2]
-                } else {
-                    ""
-                };
+                // Compare bytes, not `str` slices: slicing `src` at `i + 2`
+                // could split a multi-byte character.
+                let two = bytes.get(i..i + 2).unwrap_or(&[]);
                 let (kind, len) = match two {
-                    "&&" => (TokenKind::AmpAmp, 2),
-                    "||" => (TokenKind::PipePipe, 2),
-                    "==" => (TokenKind::Eq, 2),
-                    "!=" => (TokenKind::Ne, 2),
-                    "<=" => (TokenKind::Le, 2),
-                    ">=" => (TokenKind::Ge, 2),
+                    b"&&" => (TokenKind::AmpAmp, 2),
+                    b"||" => (TokenKind::PipePipe, 2),
+                    b"==" => (TokenKind::Eq, 2),
+                    b"!=" => (TokenKind::Ne, 2),
+                    b"<=" => (TokenKind::Le, 2),
+                    b">=" => (TokenKind::Ge, 2),
                     _ => match c {
                         b'(' => (TokenKind::LParen, 1),
                         b')' => (TokenKind::RParen, 1),
@@ -178,6 +192,22 @@ mod tests {
 
     fn kinds(src: &str) -> Vec<TokenKind> {
         lex(src).unwrap().into_iter().map(|t| t.kind).collect()
+    }
+
+    #[test]
+    fn multi_byte_characters_are_lex_errors_not_panics() {
+        // An ASCII operator byte followed by a multi-byte character: the
+        // two-byte lookahead must not split the character.
+        for src in ["x = 1 —;", "x =—1;", "&é", "int x; ∀", "!\u{1F600}"] {
+            let err = lex(src).expect_err(src);
+            assert!(matches!(err, LangError::Lex { .. }), "{src}: {err:?}");
+        }
+        let err = lex("int x;\ny = 1 — 2;").unwrap_err();
+        assert_eq!(err.line(), 2);
+        assert!(err.to_string().contains('—'), "{err}");
+        // Inside comments and strings non-ASCII text stays legal.
+        assert!(lex("// — comment\n/* ∀ */ int x;").is_ok());
+        assert!(lex("printf(\"—\");").is_ok());
     }
 
     #[test]

@@ -4,7 +4,8 @@
 //! accepts `w` starting from the state of `p`.
 
 use crate::system::ControlLoc;
-use specslice_fsa::{FxHashSet, Nfa, Symbol};
+use specslice_fsa::transposed::ALL_MEMBERS;
+use specslice_fsa::{FxHashSet, Nfa, StateId, Symbol, Transposed};
 use std::collections::BTreeSet;
 
 /// A state of a [`PAutomaton`]. States `0..n_controls` coincide with PDS
@@ -182,6 +183,51 @@ impl PAutomaton {
         nfa
     }
 
+    /// [`PAutomaton::to_nfa`]'s automaton in CSR form, without building
+    /// the NFA: the input the MRD pipeline reads through a trimmed view
+    /// (with [`PAutomaton::nfa_finals`] accepting).
+    pub fn transposed(&self, p: ControlLoc) -> Transposed {
+        self.transposed_with(p, |_| ALL_MEMBERS)
+    }
+
+    /// [`PAutomaton::transposed`] with member masks: the automaton's `k`-th
+    /// transition in state-major order carries `mask(k)` (on both of its
+    /// NFA copies when it leaves `p`).
+    pub(crate) fn transposed_with(&self, p: ControlLoc, mask: impl Fn(usize) -> u64) -> Transposed {
+        let pstate = self.control_state(p);
+        let mask = &mask;
+        Transposed::from_edges(self.state_count() + 1, || {
+            self.transitions()
+                .enumerate()
+                .flat_map(move |(k, (from, sym, to))| {
+                    let (m, to) = (mask(k), self.nfa_state_of(to));
+                    let copy = (from == pstate).then_some((StateId(0), sym, to, m));
+                    std::iter::once((self.nfa_state_of(from), sym, to, m)).chain(copy)
+                })
+        })
+    }
+
+    /// The NFA states (under [`PAutomaton::to_nfa`]'s mapping from `p`) of
+    /// the automaton states `finals`, sorted: each shifted, plus the
+    /// initial state when `p`'s own state is among them.
+    pub fn nfa_finals<'a>(
+        &self,
+        p: ControlLoc,
+        finals: impl IntoIterator<Item = &'a PState>,
+    ) -> Vec<StateId> {
+        let pstate = self.control_state(p);
+        let mut out = Vec::new();
+        for &f in finals {
+            out.push(self.nfa_state_of(f));
+            if f == pstate {
+                out.push(StateId(0));
+            }
+        }
+        out.sort_unstable();
+        out.dedup();
+        out
+    }
+
     /// The NFA state (under [`PAutomaton::to_nfa`]'s mapping) of automaton
     /// state `s`.
     pub fn nfa_state_of(&self, s: PState) -> specslice_fsa::StateId {
@@ -252,6 +298,39 @@ mod tests {
         assert!(aut.accepts(p, &[]));
         let nfa = aut.to_nfa(p);
         assert!(nfa.accepts(&[]));
+    }
+
+    #[test]
+    fn transposed_view_matches_to_nfa_trimmed() {
+        // p's row is copied onto the initial state; an ε-edge and a final
+        // control state exercise both halves of the mapping.
+        let (p, q) = (ControlLoc(0), ControlLoc(1));
+        let (a, b) = (Symbol(0), Symbol(1));
+        let mut aut = PAutomaton::new(2);
+        let m = aut.add_state();
+        let dead = aut.add_state();
+        aut.add_transition(aut.control_state(p), Some(a), m);
+        aut.add_transition(aut.control_state(p), None, aut.control_state(q));
+        aut.add_transition(aut.control_state(q), Some(b), m);
+        aut.add_transition(m, Some(b), dead);
+        aut.set_final(m);
+        for final_p in [false, true] {
+            if final_p {
+                aut.set_final(aut.control_state(p));
+            }
+            let nfa = aut.to_nfa(p);
+            let (trim, _) = nfa.trimmed();
+            let csr = aut.transposed(p);
+            let finals = aut.nfa_finals(p, aut.finals());
+            assert_eq!(finals, nfa.finals().iter().copied().collect::<Vec<_>>());
+            let view = csr.trimmed(ALL_MEMBERS, finals);
+            assert_eq!(view.state_count(), trim.state_count());
+            assert_eq!(view.transition_count(), trim.transition_count());
+            let (m1, s1) = specslice_fsa::mrd_transposed(&view);
+            let (m2, s2) = specslice_fsa::mrd::mrd_with_stats(&trim);
+            assert_eq!(format!("{m1:?}"), format!("{m2:?}"));
+            assert_eq!(s1, s2);
+        }
     }
 
     #[test]

@@ -17,10 +17,11 @@
 use crate::automaton::{PAutomaton, PState};
 use crate::index::RuleIndex;
 use crate::scratch::{CriterionSet, SaturationScratch};
-use crate::system::Rhs;
+use crate::system::{ControlLoc, Rhs};
 use crate::PdsError;
-use specslice_fsa::{FxHashMap, Symbol};
+use specslice_fsa::{FxHashMap, Symbol, Transposed, TransposedView};
 use std::fmt;
+use std::sync::OnceLock;
 
 /// Which reachability closure a saturation computes.
 ///
@@ -394,9 +395,13 @@ pub struct MultiSaturation {
     pub automaton: PAutomaton,
     /// Member `i`'s final states, remapped into the union state space.
     pub member_finals: Vec<Vec<PState>>,
-    /// Per-transition criterion masks, keyed `(from, encoded label, to)`
-    /// with `0` for ε.
-    masks: FxHashMap<(u32, u32, u32), u64>,
+    /// Per-transition criterion masks, aligned with the automaton's rows:
+    /// `masks[k]` belongs to its `k`-th transition in state-major order.
+    masks: Vec<u64>,
+    /// Where each transition `(from, encoded label, to)` sits in `masks`,
+    /// for [`MultiSaturation::mask_label`]; built on first use, since the
+    /// query path reads the column row by row and never looks one up.
+    column_index: OnceLock<FxHashMap<(u32, u32, u32), u32>>,
     /// Statistics of the single shared saturation.
     pub stats: SaturationStats,
 }
@@ -410,9 +415,46 @@ impl MultiSaturation {
     /// [`MultiSaturation::mask`], accepting ε (`post*` outputs carry
     /// ε-transitions).
     pub fn mask_label(&self, from: PState, label: Option<Symbol>, to: PState) -> CriterionSet {
-        let l = label.map_or(0, |s| s.0 + 1);
-        CriterionSet(self.masks.get(&(from.0, l, to.0)).copied().unwrap_or(0))
+        let index = self.column_index.get_or_init(|| {
+            let mut index = FxHashMap::default();
+            index.reserve(self.masks.len());
+            for (k, (from, l, to)) in self.automaton.transitions().enumerate() {
+                index.insert((from.0, encode_label(l), to.0), k as u32);
+            }
+            index
+        });
+        let at = index.get(&(from.0, encode_label(label), to.0));
+        CriterionSet(at.map_or(0, |&k| self.masks[k as usize]))
     }
+
+    /// The saturated union as `to_nfa(p)` would present it, in CSR form,
+    /// every edge masked with its members — built once per group, so each
+    /// member's `A1` is a view ([`MultiSaturation::member_view`]) rather
+    /// than a copy.
+    pub fn transposed(&self, p: ControlLoc) -> Transposed {
+        self.automaton.transposed_with(p, |k| self.masks[k])
+    }
+
+    /// Member `slot`'s `A1` inside `csr` (this saturation's
+    /// [`MultiSaturation::transposed`] from `p`): the edges carrying its
+    /// bit, with its finals accepting, trimmed — the states and edges
+    /// `to_nfa(p)` of its solo saturation would keep after
+    /// `Nfa::trimmed`.
+    pub fn member_view<'a>(
+        &self,
+        csr: &'a Transposed,
+        p: ControlLoc,
+        slot: usize,
+    ) -> TransposedView<'a> {
+        let finals = self.automaton.nfa_finals(p, &self.member_finals[slot]);
+        csr.trimmed(CriterionSet::singleton(slot).0, finals)
+    }
+}
+
+/// The `u32` label encoding of the saturation tables: `0` is ε, a symbol
+/// `γ` is `γ + 1`.
+fn encode_label(label: Option<Symbol>) -> u32 {
+    label.map_or(0, |s| s.0 + 1)
 }
 
 /// One-pass saturation for up to [`CriterionSet::MAX_MEMBERS`] criterion
@@ -532,12 +574,11 @@ fn materialize_multi(
     out: &crate::arena::BumpLists<(u32, u32)>,
     masks: &crate::scratch::MaskTable,
     phase1_states: usize,
-) -> (PAutomaton, FxHashMap<(u32, u32, u32), u64>) {
+) -> (PAutomaton, Vec<u64>) {
     for _ in 0..phase1_states {
         aut.add_state();
     }
-    let mut mask_map = FxHashMap::default();
-    mask_map.reserve(masks.len());
+    let mut column = Vec::with_capacity(masks.len());
     for state in 0..out.n_lists() as u32 {
         for (label, to) in out.iter(state) {
             let l = if label == 0 {
@@ -545,11 +586,15 @@ fn materialize_multi(
             } else {
                 Some(Symbol(label - 1))
             };
-            aut.add_transition(PState(state), l, PState(to));
-            mask_map.insert((state, label, to), masks.get(state, label, to));
+            // The union starts edge-free and saturation rows are
+            // duplicate-free, so every transition lands at the end of its
+            // row and the column stays aligned with the rows.
+            let fresh = aut.add_transition(PState(state), l, PState(to));
+            debug_assert!(fresh, "saturation rows are duplicate-free");
+            column.push(masks.get(state, label, to));
         }
     }
-    (aut, mask_map)
+    (aut, column)
 }
 
 /// The multi-criterion `pre*` engine on a prebuilt union.
@@ -679,7 +724,7 @@ fn backward_multi(
         }
     }
 
-    let (aut, mask_map) = materialize_multi(union, out, masks, 0);
+    let (aut, column) = materialize_multi(union, out, masks, 0);
     let transitions = aut.transition_count();
     let stats = SaturationStats {
         transitions,
@@ -696,7 +741,8 @@ fn backward_multi(
     MultiSaturation {
         automaton: aut,
         member_finals,
-        masks: mask_map,
+        masks: column,
+        column_index: OnceLock::new(),
         stats,
     }
 }
@@ -835,7 +881,7 @@ fn forward_multi(
         }
     }
 
-    let (aut, mask_map) = materialize_multi(union, out, masks, phase1_states);
+    let (aut, column) = materialize_multi(union, out, masks, phase1_states);
     let transitions = aut.transition_count();
     let stats = SaturationStats {
         transitions,
@@ -852,7 +898,8 @@ fn forward_multi(
     MultiSaturation {
         automaton: aut,
         member_finals,
-        masks: mask_map,
+        masks: column,
+        column_index: OnceLock::new(),
         stats,
     }
 }

@@ -227,6 +227,38 @@ fn structured_errors_cover_the_request_surface() {
 }
 
 #[test]
+fn non_ascii_source_is_a_parse_error_not_a_dropped_connection() {
+    // A multi-byte character outside comments and strings once panicked
+    // the lexer, killing the connection's thread: the client saw the
+    // socket close instead of a reply.
+    let (handle, addr) = start(DEFAULT_MAX_FRAME);
+    let mut client = Client::connect_tcp(&addr).expect("connect");
+    for source in [
+        "int main() { int x; x = 1 — 2; return x; }",
+        "int main() {}&é",
+    ] {
+        let e = request_err(&mut client, "open", [("source", Json::str(source))]);
+        assert_eq!(
+            e.get("kind").and_then(Json::as_str),
+            Some("parse"),
+            "{source}"
+        );
+        assert_eq!(
+            e.get("line").and_then(Json::as_i64),
+            Some(1),
+            "{}",
+            e.to_text()
+        );
+    }
+    // The connection survives and serves the next request.
+    let opened = client
+        .request("open", [("source", Json::str(PROGRAM))])
+        .expect("open after the rejected source");
+    assert!(opened.get("session").and_then(Json::as_str).is_some());
+    handle.stop();
+}
+
+#[test]
 fn hello_reports_version_and_frame_limit() {
     let (handle, addr) = start(4096);
     let mut stream = TcpStream::connect(&addr).expect("connect");

@@ -118,7 +118,6 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 /// corpus' 1k tier (the workload `BENCH_scale.json` gates), measured with
 /// the counting allocator when the `count-alloc` feature installed it.
 fn alloc_report() -> Result<(), Box<dyn std::error::Error>> {
-    use specslice::encode::MAIN_CONTROL;
     use specslice::{SlicerConfig, Solver};
     use specslice_bench::alloc_count as ac;
 
@@ -187,10 +186,9 @@ fn alloc_report() -> Result<(), Box<dyn std::error::Error>> {
             .0
     });
     stage("cold: prestar saturation", d);
-    let (trimmed, d) = ac::measure(|| a1.to_nfa(MAIN_CONTROL).trimmed().0);
-    stage("cold: to_nfa + trim", d);
-    let ((a6, mrd_stats), d) = ac::measure(|| specslice_fsa::mrd::mrd_with_stats(&trimmed));
-    stage("cold: determinize + MRD", d);
+    let (tail, d) = ac::measure(|| specslice::slicer::saturated_tail(&a1));
+    stage("cold: A1 view + MRD", d);
+    let (a6, mrd_stats) = (tail.a6, tail.mrd);
     println!(
         "    (mrd sizes: input {} -> det {} -> min {} -> mrd {} states)",
         mrd_stats.input_states,

@@ -1,7 +1,7 @@
 //! Failure injection and boundary conditions across the public API.
 
 use specslice::exec::{self, ExecOutcome, ExecRequest};
-use specslice::{Criterion, Program, Slicer};
+use specslice::{Criterion, Program, Slicer, SpecError};
 use specslice_sdg::VertexId;
 
 /// Runs through the env-selected default backend with the default budgets.
@@ -26,6 +26,26 @@ fn unreachable_criterion_gives_empty_slice() {
     let regen = slicer.regenerate(&slice).unwrap();
     assert!(regen.program.main().is_some());
     run(&regen.program, &[]);
+}
+
+#[test]
+fn non_ascii_source_is_an_error_not_a_panic() {
+    // Multi-byte characters right after an operator byte, and on their
+    // own, outside any comment or string.
+    for src in [
+        "int main() { int x; x = 1 — 2; return x; }",
+        "int main() { int x; x =—2; return x; }",
+        "int main() { return 0; } é",
+    ] {
+        match Slicer::from_source(src) {
+            Err(SpecError::Parse(e)) => assert_eq!(e.line(), 1, "{src}: {e}"),
+            Err(e) => panic!("{src}: expected a parse error, got {e}"),
+            Ok(_) => panic!("{src}: accepted"),
+        }
+    }
+    // In comments and strings the same characters are fine.
+    let ok = "// — é\nint main() { printf(\"—\"); return 0; }";
+    assert!(Slicer::from_source(ok).is_ok());
 }
 
 #[test]
