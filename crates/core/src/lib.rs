@@ -280,12 +280,14 @@ pub struct PipelineStats {
     /// solver one member of each criterion group carries its group's shared
     /// saturation and the rest report `0`, so a batch aggregate counts
     /// *distinct* saturations run — the number the one-pass solver exists
-    /// to shrink. Memo hits replay the stats recorded when the entry was
-    /// computed.
+    /// to shrink. Replayed answers — memo hits and the repeats of a
+    /// criterion within one batch — report `0` here and in every other
+    /// saturation work counter ([`PipelineStats::replayed`]): they keep the
+    /// sizes recorded when the answer was computed, not its work.
     pub saturations_run: usize,
     /// Criteria answered by this query's saturation (its criterion-group
     /// width; `1` under the per-criterion solver, `0` on non-carrying group
-    /// members). Aggregated as a max, so a batch aggregate reports the
+    /// members and on replayed answers). Aggregated as a max, so a batch aggregate reports the
     /// widest single saturation in the batch.
     pub criteria_per_saturation: usize,
     /// Backward queries answered from the session memo (`1` on a hit, `0`
@@ -307,6 +309,22 @@ pub struct PipelineStats {
 }
 
 impl PipelineStats {
+    /// These stats as a replayed answer reports them: the sizes of the
+    /// answer's automata (`a1_*`, `mrd`) are kept, every saturation work
+    /// counter (`saturations_run`, `criteria_per_saturation` and the four
+    /// `prestar_*` fields) is zeroed — a replay ran no saturation, so a
+    /// batch aggregate counts each saturation once, by the query that ran
+    /// it.
+    pub fn replayed(mut self) -> PipelineStats {
+        self.saturations_run = 0;
+        self.criteria_per_saturation = 0;
+        self.prestar_transitions = 0;
+        self.prestar_peak_bytes = 0;
+        self.prestar_rule_applications = 0;
+        self.prestar_peak_worklist = 0;
+        self
+    }
+
     /// Accumulates another query's stats into `self` (used by
     /// [`Slicer::slice_batch`] aggregation). Per-query sizes are summed;
     /// `pds_rules` describes the shared encoding and is kept as-is.

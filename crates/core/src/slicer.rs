@@ -10,9 +10,12 @@
 //! that needs it) and reuses them for every subsequent query, batch, feature
 //! removal, regeneration, or reslice check.
 //!
-//! The criterion-dependent stages are *independent* across criteria and
-//! touch the session state read-only, so [`Slicer::slice_batch`] fans a
-//! batch out over a [`specslice_exec::Pool`] of worker threads (see
+//! A slice depends only on its criterion's language, so a batch is first
+//! reduced to its distinct criteria (by the memo's canonical key); each is
+//! answered once and repeats replay its answer. The criterion-dependent
+//! stages are *independent* across criteria and touch the session state
+//! read-only, so [`Slicer::slice_batch`] fans the distinct criteria out
+//! over a [`specslice_exec::Pool`] of worker threads (see
 //! [`SlicerConfig::num_threads`]). Each worker owns a private
 //! `QueryScratch` — the saturation rows/worklists and read-out tables of
 //! the whole criterion-dependent pipeline, plus a private [`VariantStore`]
@@ -172,8 +175,12 @@ pub struct BatchResult {
     /// sums of per-query sizes, shared-encoding sizes kept once).
     pub aggregate: PipelineStats,
     /// Per-worker-thread execution accounting for this batch: how many
-    /// criteria each worker answered, how many it stole, and how long it
-    /// was busy. One entry per worker that ran (a sequential batch has one).
+    /// *distinct* criteria each worker answered ([`WorkerStats::items`]),
+    /// how many it stole, and how long it was busy. A batch answers each
+    /// distinct criterion once; repeats replay their first occurrence's
+    /// answer and are counted by no worker, so the items sum to the number
+    /// of distinct criteria. One entry per worker that ran (a sequential
+    /// batch has one).
     pub per_thread: Vec<WorkerStats>,
 }
 
@@ -354,8 +361,68 @@ pub(crate) struct Answer {
     from_memo: bool,
 }
 
-/// One outcome per batch criterion, in input order.
+/// One outcome per *distinct* batch criterion, in first-occurrence order
+/// (aligned with [`Distinct::firsts`]).
 type RawBatch = Vec<Result<Answer, SpecError>>;
+
+/// One adopted outcome per batch criterion, in input order.
+type Expanded = Vec<Result<(SpecSlice, PipelineStats), SpecError>>;
+
+/// A batch reduced to its distinct criteria. Two criteria are the same
+/// when their [`memo_key`]s are equal — whether or not the session
+/// memoizes: the key is canonical and order-independent, and a slice
+/// depends only on its criterion's language (the memo relies on the same
+/// fact). Raw-automaton criteria have no key and are never merged.
+struct Distinct {
+    /// The input index of each distinct criterion's first occurrence,
+    /// ascending.
+    firsts: Vec<usize>,
+    /// Per input index, the position in `firsts` of its criterion.
+    slot: Vec<usize>,
+}
+
+impl Distinct {
+    /// Keys every criterion of a batch in `dir` and keeps each key's first
+    /// occurrence.
+    fn of(dir: Direction, criteria: &[Criterion]) -> Distinct {
+        let mut firsts = Vec::new();
+        let mut seen: HashMap<MemoKey, usize> = HashMap::new();
+        let slot = criteria
+            .iter()
+            .enumerate()
+            .map(|(i, criterion)| {
+                let fresh = firsts.len();
+                let s = match memo_key(dir, criterion) {
+                    Some(key) => *seen.entry(key).or_insert(fresh),
+                    None => fresh,
+                };
+                if s == fresh {
+                    firsts.push(i);
+                }
+                s
+            })
+            .collect();
+        Distinct { firsts, slot }
+    }
+
+    /// One empty result slot per distinct criterion.
+    fn empty_slots(&self) -> Vec<Option<Result<Answer, SpecError>>> {
+        self.firsts.iter().map(|_| None).collect()
+    }
+
+    /// Files group results (keyed by input index) into their slots.
+    fn scatter(
+        &self,
+        slots: &mut [Option<Result<Answer, SpecError>>],
+        results: Vec<(usize, Result<Answer, SpecError>)>,
+    ) {
+        for (i, result) in results {
+            let s = self.slot[i];
+            debug_assert!(slots[s].is_none(), "criterion {i} answered twice");
+            slots[s] = Some(result);
+        }
+    }
+}
 
 /// The per-worker working memory of the criterion-dependent pipeline:
 /// saturation rows/worklists, read-out tables, and a private
@@ -617,12 +684,8 @@ impl Slicer {
             a6,
             key.dir.into(),
         );
+        stats = stats.replayed();
         stats.query_time = start.elapsed();
-        // A replayed answer ran no saturation of its own; the recorded
-        // sizes describe the cached pipeline, but the run counters must
-        // reflect *this* query's work.
-        stats.saturations_run = 0;
-        stats.criteria_per_saturation = 0;
         set_memo_counters(&mut stats, key.dir, true);
         Some(Answer {
             slice,
@@ -684,19 +747,20 @@ impl Slicer {
     /// order for batches, which pins session-store ids (and counters) to
     /// the input sequence regardless of thread count.
     ///
-    /// A freshly computed answer whose key is *already* memoized — a
-    /// duplicate criterion inside one parallel batch, where workers cannot
-    /// see each other's in-flight results — is answered from the memo
-    /// instead of being re-interned, exactly as the sequential loop (which
-    /// installs entries as it goes) would have answered it. Without this,
-    /// the store's intern/dedup counters would depend on the thread count.
+    /// A freshly computed answer whose key is *already* memoized — the
+    /// same criterion answered concurrently by another caller of this
+    /// session — is answered from the memo instead of being re-interned,
+    /// exactly as it would have been had the other caller finished first.
+    /// (Repeats within one batch never get here: the batch answers each
+    /// distinct criterion once and replays the rest, see
+    /// [`expand`](Slicer::expand).)
     fn adopt(&self, answer: Answer) -> (SpecSlice, PipelineStats) {
         if let (Some(k), false) = (&answer.key, answer.from_memo) {
             let cached = self.memo.read().ok().and_then(|memo| {
                 memo.get(k)
                     .map(|e| (e.a6.clone(), e.cached.clone(), e.stats))
             });
-            if let Some((a6, cached, mut stats)) = cached {
+            if let Some((a6, cached, stats)) = cached {
                 self.memo_hits.fetch_add(1, Ordering::Relaxed);
                 let slice = SpecSlice::from_parts(
                     self.store.clone(),
@@ -706,12 +770,8 @@ impl Slicer {
                     a6,
                     k.dir.into(),
                 );
+                let mut stats = stats.replayed();
                 stats.query_time = answer.stats.query_time;
-                // Adopting over an existing entry (a duplicate-key batch
-                // member) replays the cached answer: no saturation of its
-                // own to count.
-                stats.saturations_run = 0;
-                stats.criteria_per_saturation = 0;
                 set_memo_counters(&mut stats, k.dir, true);
                 return (slice, stats);
             }
@@ -784,12 +844,19 @@ impl Slicer {
     }
 
     /// How [`Solver::OnePass`] partitions `criteria` into shared
-    /// saturations: each inner list holds the input indices of one group,
-    /// in the order the group's members occupy its criterion mask (a group
-    /// of one runs the solo pipeline). Memo hits peel off a group at answer
+    /// saturations — the plan a batch of `criteria` runs. Each inner list
+    /// holds the input indices of one group, in the order the group's
+    /// members occupy its criterion mask (a group of one runs the solo
+    /// pipeline). A batch answers each distinct criterion once, so only
+    /// first occurrences are planned: a repeat (a criterion with the same
+    /// canonical selector as an earlier one) is in no group and replays
+    /// its first occurrence's answer. Memo hits peel off a group at answer
     /// time; the plan itself ignores the memo.
     pub fn batch_groups(&self, criteria: &[Criterion]) -> Vec<Vec<usize>> {
-        plan_groups(&self.sdg, self.proc_regions(), criteria)
+        // Which criteria are repeats does not depend on the direction: it
+        // tags every key of a batch alike.
+        let distinct = Distinct::of(Direction::Backward, criteria);
+        plan_groups(&self.sdg, self.proc_regions(), criteria, &distinct.firsts)
     }
 
     /// The call-graph region of every procedure: its component in the SCC
@@ -815,12 +882,18 @@ impl Slicer {
         })
     }
 
-    /// Answers every criterion across the session's worker pool, returning
-    /// raw per-criterion results in input order plus per-worker accounting.
-    fn batch_raw(&self, dir: Direction, criteria: &[Criterion]) -> (RawBatch, Vec<WorkerStats>) {
+    /// Answers the distinct criteria of a batch across the session's
+    /// worker pool, returning their raw results (aligned with
+    /// `distinct.firsts`) plus per-worker accounting.
+    fn batch_raw(
+        &self,
+        dir: Direction,
+        criteria: &[Criterion],
+        distinct: &Distinct,
+    ) -> (RawBatch, Vec<WorkerStats>) {
         match self.config.solver {
-            Solver::PerCriterion => self.batch_raw_per_criterion(dir, criteria),
-            Solver::OnePass => self.batch_raw_onepass(dir, criteria),
+            Solver::PerCriterion => self.batch_raw_per_criterion(dir, criteria, &distinct.firsts),
+            Solver::OnePass => self.batch_raw_onepass(dir, criteria, distinct),
         }
     }
 
@@ -839,19 +912,21 @@ impl Slicer {
     }
 
     /// [`batch_raw`](Slicer::batch_raw) under [`Solver::PerCriterion`]:
-    /// each criterion is an independent pool item.
+    /// each distinct criterion (input index in `firsts`) is an independent
+    /// pool item.
     fn batch_raw_per_criterion(
         &self,
         dir: Direction,
         criteria: &[Criterion],
+        firsts: &[usize],
     ) -> (RawBatch, Vec<WorkerStats>) {
         let pool = Pool::new(self.config.num_threads);
         if pool.threads() > 1 {
             self.warm_reachable_for(criteria);
         }
-        pool.map_init_stats(criteria, QueryScratch::default, |scratch, _, criterion| {
+        pool.map_init_stats(firsts, QueryScratch::default, |scratch, _, &i| {
             let shard = scratch.shard.clone();
-            self.answer_in(dir, criterion, scratch, &shard)
+            self.answer_in(dir, &criteria[i], scratch, &shard)
         })
     }
 
@@ -863,8 +938,9 @@ impl Slicer {
         &self,
         dir: Direction,
         criteria: &[Criterion],
+        distinct: &Distinct,
     ) -> (RawBatch, Vec<WorkerStats>) {
-        let groups = plan_groups(&self.sdg, self.proc_regions(), criteria);
+        let groups = plan_groups(&self.sdg, self.proc_regions(), criteria, &distinct.firsts);
         let pool = Pool::new(self.config.num_threads);
         if pool.threads() > 1 {
             self.warm_reachable_for(criteria);
@@ -878,18 +954,13 @@ impl Slicer {
                 self.answer_group(dir, criteria, group, scratch, &shard)
             },
         );
-        // Scatter the group results back to input order.
-        let mut slots: Vec<Option<Result<Answer, SpecError>>> =
-            criteria.iter().map(|_| None).collect();
+        let mut slots = distinct.empty_slots();
         for chunk in chunks {
-            for (i, result) in chunk {
-                debug_assert!(slots[i].is_none(), "criterion {i} answered twice");
-                slots[i] = Some(result);
-            }
+            distinct.scatter(&mut slots, chunk);
         }
         let results = slots
             .into_iter()
-            .map(|slot| slot.expect("every criterion belongs to exactly one group"))
+            .map(|slot| slot.expect("every distinct criterion belongs to exactly one group"))
             .collect();
         (results, per_thread)
     }
@@ -1114,25 +1185,12 @@ impl Slicer {
         dir: Direction,
         criteria: &[Criterion],
     ) -> Result<BatchResult, SpecError> {
-        if self.config.num_threads.min(criteria.len()) <= 1 {
-            // Sequential fast path with genuine fail-fast: nothing after the
-            // first failing criterion (per-criterion solver) or failing
-            // criterion *group* (one-pass solver) runs. The parallel path
-            // must answer everything already in flight, but converges on
-            // the same lowest-indexed error, so the two paths are
-            // indistinguishable to the caller (modulo counters on error).
-            return match self.config.solver {
-                Solver::PerCriterion => self.slice_batch_sequential(dir, criteria),
-                Solver::OnePass => self.slice_batch_sequential_onepass(dir, criteria),
-            };
-        }
-        let (results, per_thread) = self.batch_raw(dir, criteria);
+        let (results, per_thread) = self.batch(dir, criteria, true)?;
         let mut slices = Vec::with_capacity(criteria.len());
         let mut per_criterion = Vec::new();
         let mut aggregate = PipelineStats::default();
-        for (i, result) in results.into_iter().enumerate() {
-            let answer = result.map_err(|e| annotate_with_index(e, i))?;
-            let (slice, stats) = self.adopt(answer);
+        for result in results {
+            let (slice, stats) = result?;
             slices.push(slice);
             aggregate.absorb(&stats);
             if self.config.collect_stats {
@@ -1147,70 +1205,86 @@ impl Slicer {
         })
     }
 
-    /// The `num_threads <= 1` body of [`slice_batch`](Slicer::slice_batch):
-    /// one scratch, one pass, stop at the first error.
-    fn slice_batch_sequential(
+    /// The batch engine behind every batch method. It reduces `criteria`
+    /// to its distinct criteria ([`Distinct`]), answers each of those once
+    /// — under either solver, on the calling thread or across the pool —
+    /// and expands the answers back to input order
+    /// ([`expand`](Slicer::expand)).
+    ///
+    /// With `fail_fast`, the lowest-indexed failure is the returned error.
+    /// A batch of at most one distinct criterion per worker runs on the
+    /// calling thread and stops at the first failing criterion
+    /// (per-criterion solver) or criterion *group* (one-pass solver). The
+    /// parallel path answers everything already in flight but converges on
+    /// the same lowest-indexed error, so the two paths are
+    /// indistinguishable to the caller (modulo counters on error). Without
+    /// `fail_fast`, every criterion gets its own result and the outer
+    /// result is always `Ok`.
+    fn batch(
         &self,
         dir: Direction,
         criteria: &[Criterion],
-    ) -> Result<BatchResult, SpecError> {
-        let start = Instant::now();
-        let mut scratch = self.take_scratch();
-        let mut slices = Vec::with_capacity(criteria.len());
-        let mut per_criterion = Vec::new();
-        let mut aggregate = PipelineStats::default();
-        for (i, criterion) in criteria.iter().enumerate() {
-            let answer = self
-                .answer_in(dir, criterion, &mut scratch, &self.store)
-                .map_err(|e| annotate_with_index(e, i))?;
-            let (slice, stats) = self.adopt(answer);
-            slices.push(slice);
-            aggregate.absorb(&stats);
-            if self.config.collect_stats {
-                per_criterion.push(stats);
+        fail_fast: bool,
+    ) -> Result<(Expanded, Vec<WorkerStats>), SpecError> {
+        let distinct = Distinct::of(dir, criteria);
+        let sequential = self.config.num_threads.min(distinct.firsts.len()) <= 1;
+        let (raw, per_thread) = match (fail_fast && sequential, self.config.solver) {
+            (true, Solver::PerCriterion) => {
+                self.batch_sequential(dir, criteria, &distinct.firsts)?
             }
-        }
-        self.put_scratch(scratch);
-        Ok(BatchResult {
-            slices,
-            per_criterion,
-            aggregate,
-            per_thread: vec![WorkerStats {
-                worker: 0,
-                items: criteria.len(),
-                steals: 0,
-                busy: start.elapsed(),
-            }],
-        })
+            (true, Solver::OnePass) => self.batch_sequential_onepass(dir, criteria, &distinct)?,
+            (false, _) => self.batch_raw(dir, criteria, &distinct),
+        };
+        Ok((self.expand(&distinct, raw, fail_fast)?, per_thread))
     }
 
-    /// The `num_threads <= 1` body of [`slice_batch`](Slicer::slice_batch)
-    /// under [`Solver::OnePass`]: groups are processed in plan order with
-    /// one scratch, stopping at the first group that contains a failure
-    /// (group-granular fail-fast — members of the failing group's shared
-    /// saturation are necessarily in flight together). Answers are adopted
-    /// in input order afterwards, exactly as the parallel path does, so
-    /// successful batches are byte-identical at every width.
-    fn slice_batch_sequential_onepass(
+    /// The sequential fail-fast body of [`batch`](Slicer::batch) under
+    /// [`Solver::PerCriterion`]: one scratch, the distinct criteria (input
+    /// indices `firsts`) in input order, stop at the first error.
+    fn batch_sequential(
         &self,
         dir: Direction,
         criteria: &[Criterion],
-    ) -> Result<BatchResult, SpecError> {
+        firsts: &[usize],
+    ) -> Result<(RawBatch, Vec<WorkerStats>), SpecError> {
         let start = Instant::now();
-        let groups = plan_groups(&self.sdg, self.proc_regions(), criteria);
         let mut scratch = self.take_scratch();
-        let mut slots: Vec<Option<Result<Answer, SpecError>>> =
-            criteria.iter().map(|_| None).collect();
+        let mut raw = Vec::with_capacity(firsts.len());
+        for &i in firsts {
+            let answer = self
+                .answer_in(dir, &criteria[i], &mut scratch, &self.store)
+                .map_err(|e| annotate_with_index(e, i))?;
+            raw.push(Ok(answer));
+        }
+        self.put_scratch(scratch);
+        Ok((raw, calling_thread(firsts.len(), start)))
+    }
+
+    /// The sequential fail-fast body of [`batch`](Slicer::batch) under
+    /// [`Solver::OnePass`]: groups are processed in plan order with one
+    /// scratch, stopping at the first group that contains a failure
+    /// (group-granular fail-fast — members of the failing group's shared
+    /// saturation are necessarily in flight together). Answers are adopted
+    /// in input order afterwards, exactly as on the parallel path, so
+    /// successful batches are byte-identical at every width.
+    fn batch_sequential_onepass(
+        &self,
+        dir: Direction,
+        criteria: &[Criterion],
+        distinct: &Distinct,
+    ) -> Result<(RawBatch, Vec<WorkerStats>), SpecError> {
+        let start = Instant::now();
+        let groups = plan_groups(&self.sdg, self.proc_regions(), criteria, &distinct.firsts);
+        let mut scratch = self.take_scratch();
+        let mut slots = distinct.empty_slots();
         for group in &groups {
             let shard = scratch.shard.clone();
             let results = self.answer_group(dir, criteria, group, &mut scratch, &shard);
             let failed = results.iter().any(|(_, r)| r.is_err());
-            for (i, result) in results {
-                slots[i] = Some(result);
-            }
+            distinct.scatter(&mut slots, results);
             if failed {
                 // Report the lowest-indexed failure answered so far.
-                for (i, slot) in slots.into_iter().enumerate() {
+                for (slot, &i) in slots.into_iter().zip(&distinct.firsts) {
                     if let Some(Err(e)) = slot {
                         return Err(annotate_with_index(e, i));
                     }
@@ -1219,31 +1293,76 @@ impl Slicer {
             }
         }
         self.put_scratch(scratch);
-        let mut slices = Vec::with_capacity(criteria.len());
-        let mut per_criterion = Vec::new();
-        let mut aggregate = PipelineStats::default();
-        for slot in slots {
-            let answer = slot
-                .expect("every criterion belongs to exactly one group")
-                .expect("failures returned above");
-            let (slice, stats) = self.adopt(answer);
-            slices.push(slice);
-            aggregate.absorb(&stats);
-            if self.config.collect_stats {
-                per_criterion.push(stats);
+        let raw = slots
+            .into_iter()
+            .map(|slot| slot.expect("every distinct criterion belongs to exactly one group"))
+            .collect();
+        Ok((raw, calling_thread(distinct.firsts.len(), start)))
+    }
+
+    /// Expands the answers of a batch's distinct criteria (`raw`, aligned
+    /// with `distinct.firsts`) back to input order, adopting them in that
+    /// order. A first occurrence adopts its own answer; a repeat replays
+    /// it ([`replay`](Slicer::replay)); a failed criterion fails every
+    /// occurrence, each error naming its own index. With `fail_fast` the
+    /// first failure — the lowest-indexed, always a first occurrence — is
+    /// returned as the error, and nothing after it is adopted.
+    fn expand(
+        &self,
+        distinct: &Distinct,
+        raw: RawBatch,
+        fail_fast: bool,
+    ) -> Result<Expanded, SpecError> {
+        let mut raw: Vec<Option<Result<Answer, SpecError>>> = raw.into_iter().map(Some).collect();
+        // Per distinct criterion, once its first occurrence is adopted: the
+        // memo key it was adopted under, or its (unannotated) error.
+        let mut adopted: Vec<Option<Result<Option<MemoKey>, SpecError>>> =
+            distinct.firsts.iter().map(|_| None).collect();
+        let mut out: Expanded = Vec::with_capacity(distinct.slot.len());
+        for (i, &s) in distinct.slot.iter().enumerate() {
+            let result = match raw[s].take() {
+                Some(result) => {
+                    adopted[s] = Some(result.as_ref().map(|a| a.key.clone()).map_err(Clone::clone));
+                    result.map(|answer| self.adopt(answer))
+                }
+                None => match &adopted[s] {
+                    Some(Ok(key)) => {
+                        let Ok(first) = &out[distinct.firsts[s]] else {
+                            unreachable!("an adopted first occurrence succeeded");
+                        };
+                        Ok(self.replay(first, key.as_ref()))
+                    }
+                    Some(Err(e)) => Err(e.clone()),
+                    None => unreachable!("a first occurrence precedes its repeats"),
+                },
+            };
+            match result.map_err(|e| annotate_with_index(e, i)) {
+                Err(e) if fail_fast => return Err(e),
+                result => out.push(result),
             }
         }
-        Ok(BatchResult {
-            slices,
-            per_criterion,
-            aggregate,
-            per_thread: vec![WorkerStats {
-                worker: 0,
-                items: criteria.len(),
-                steals: 0,
-                busy: start.elapsed(),
-            }],
-        })
+        Ok(out)
+    }
+
+    /// Answers a repeat of an already adopted batch criterion. With the
+    /// memo on, the first occurrence installed (or hit) an entry and the
+    /// repeat is a memo hit, exactly as a repeated [`slice`](Slicer::slice)
+    /// call would be; otherwise it clones the first occurrence's slice,
+    /// with replayed stats ([`PipelineStats::replayed`]). Either way no
+    /// pipeline stage runs and nothing is interned, at every thread count.
+    fn replay(
+        &self,
+        first: &(SpecSlice, PipelineStats),
+        key: Option<&MemoKey>,
+    ) -> (SpecSlice, PipelineStats) {
+        let start = Instant::now();
+        if let Some(answer) = key.and_then(|k| self.answer_from_memo(k, start)) {
+            return (answer.slice, answer.stats);
+        }
+        self.queries_run.fetch_add(1, Ordering::Relaxed);
+        let mut stats = first.1.replayed();
+        stats.query_time = start.elapsed();
+        (first.0.clone(), stats)
     }
 
     /// [`slice_batch`](Slicer::slice_batch) without the fail-fast contract:
@@ -1251,14 +1370,12 @@ impl Slicer {
     /// malformed criterion does not poison the rest of the batch. Results
     /// are in input order; errors identify their criterion by index.
     pub fn slice_batch_results(&self, criteria: &[Criterion]) -> Vec<Result<SpecSlice, SpecError>> {
-        let (results, _) = self.batch_raw(Direction::Backward, criteria);
+        let Ok((results, _)) = self.batch(Direction::Backward, criteria, false) else {
+            unreachable!("only a fail-fast batch fails as a whole");
+        };
         results
             .into_iter()
-            .enumerate()
-            .map(|(i, r)| {
-                r.map(|answer| self.adopt(answer).0)
-                    .map_err(|e| annotate_with_index(e, i))
-            })
+            .map(|result| result.map(|(slice, _)| slice))
             .collect()
     }
 
@@ -1356,8 +1473,9 @@ impl Slicer {
     }
 }
 
-/// Plans the one-pass solver's criterion groups: a partition of
-/// `0..criteria.len()` where each group shares one saturation.
+/// Plans the one-pass solver's criterion groups: a partition of `members`
+/// (ascending input indices into `criteria` — a batch's distinct criteria)
+/// where each group shares one saturation.
 ///
 /// Criteria are grouped by the sorted set of call-graph *regions* (SCC
 /// condensation components, see [`Slicer::proc_regions`]) owning their
@@ -1375,7 +1493,12 @@ impl Slicer {
 /// them across the pool. The plan is a pure function of the criterion list
 /// and the session's SDG; results are scattered back to input order, so
 /// batch output stays thread-count-independent.
-fn plan_groups(sdg: &Sdg, regions: &[u32], criteria: &[Criterion]) -> Vec<Vec<usize>> {
+fn plan_groups(
+    sdg: &Sdg,
+    regions: &[u32],
+    criteria: &[Criterion],
+    members: &[usize],
+) -> Vec<Vec<usize>> {
     let vertex_bound = sdg.vertex_count() as u32;
     let region_key = |verts: &mut dyn Iterator<Item = u32>| -> Option<Vec<u32>> {
         let mut key = Vec::new();
@@ -1396,8 +1519,8 @@ fn plan_groups(sdg: &Sdg, regions: &[u32], criteria: &[Criterion]) -> Vec<Vec<us
     // Key → (open group index, shard id).
     let mut open: HashMap<Vec<u32>, (usize, usize)> = HashMap::new();
     let mut shards = 0usize;
-    for (i, criterion) in criteria.iter().enumerate() {
-        let key = match criterion {
+    for &i in members {
+        let key = match &criteria[i] {
             Criterion::AllContexts(verts) => region_key(&mut verts.iter().map(|v| v.0)),
             Criterion::Configurations(configs) => region_key(&mut configs.iter().map(|(v, _)| v.0)),
             Criterion::Automaton(_) => None,
@@ -1444,6 +1567,16 @@ fn annotate_with_index(e: SpecError, i: usize) -> SpecError {
         },
         other => other,
     }
+}
+
+/// Per-worker accounting of a batch answered on the calling thread.
+fn calling_thread(items: usize, start: Instant) -> Vec<WorkerStats> {
+    vec![WorkerStats {
+        worker: 0,
+        items,
+        steals: 0,
+        busy: start.elapsed(),
+    }]
 }
 
 /// The engine-stage name errors are tagged with, per direction.

@@ -161,8 +161,9 @@ fn check_both_directions(name: &str, slicer: &Slicer, criteria: &[Criterion]) ->
 #[test]
 fn fused_tail_matches_split_trim_on_the_smallest_scale_tier() {
     // The `1k` tier of the scale bench: every printf once, then the
-    // bench's own skewed 60-criterion batch, whose groups are up to 50
-    // members wide.
+    // bench's own skewed 60-criterion batch. That batch is mostly repeats,
+    // which a batch answers once and plans in no group, so its groups are
+    // narrow; the wide-mask case is covered on the feature grids below.
     let cfg = ScaleConfig {
         n_procs: 16,
         n_globals: 8,
@@ -177,19 +178,28 @@ fn fused_tail_matches_split_trim_on_the_smallest_scale_tier() {
         .into_iter()
         .map(|i| sites[i].clone())
         .collect();
-    assert!(check_both_directions("scale-1k skewed", &slicer, &skewed) > 32);
+    let groups = slicer.batch_groups(&skewed);
+    let planned: usize = groups.iter().map(Vec::len).sum();
+    assert!(planned < skewed.len(), "the skewed batch repeats criteria");
+    assert!(check_both_directions("scale-1k skewed", &slicer, &skewed) > 1);
 }
 
 #[test]
 fn fused_tail_matches_split_trim_on_feature_grids() {
-    for n in [12, 24] {
+    let mut widest = 0;
+    for n in [12, 24, 40] {
         let slicer = session(&specslice_corpus::feature_grid(n));
-        check_both_directions(
+        let width = check_both_directions(
             &format!("feature_grid({n})"),
             &slicer,
             &printf_criteria(&slicer),
         );
+        // Every printf of a grid sits in `main`, so its n distinct
+        // criteria form one group.
+        assert_eq!(width, n, "feature_grid({n})");
+        widest = widest.max(width);
     }
+    assert!(widest > 32, "a group must be wider than 32 members");
 }
 
 #[test]
